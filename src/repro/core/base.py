@@ -35,14 +35,7 @@ import numpy as np
 from repro.autodiff import Tensor, grad
 from repro.federated.config import FederatedConfig
 from repro.nn import CrossEntropyLoss, Sequential
-from repro.nn.perexample import (
-    per_example_gradients,
-    per_example_gradients_batched,
-    per_example_gradients_looped,
-    per_example_gradients_rules,
-    stack_to_example_lists,
-)
-from repro.privacy.accountant import MomentsAccountant
+from repro.nn.perexample import per_example_gradients, per_example_gradients_looped
 from repro.privacy.clipping import global_l2_norm
 from repro.privacy.ledger import RoundCharge
 
@@ -81,10 +74,9 @@ class LocalTrainerBase:
         self.loss_fn = CrossEntropyLoss()
         #: Per-example gradient engine selector.  "auto" uses the
         #: batched-graph engine when the model is traceable and falls back to
-        #: the looped reference otherwise; "batched" forces the batched-graph
-        #: replay; "rules" forces the hand-written per-layer rules engine;
-        #: "looped" forces the one-backward-per-example reference path (used
-        #: by the equivalence tests and as a debugging escape hatch).
+        #: the looped reference otherwise; "looped" forces the
+        #: one-backward-per-example reference path (used by the equivalence
+        #: tests and as a debugging escape hatch).
         self.per_example_mode = "auto"
         #: First-batch per-example result primed by the fused executor; see
         #: :meth:`prime_per_example_stack`.
@@ -114,11 +106,9 @@ class LocalTrainerBase:
         Returns one ``(B, *param_shape)`` array per model parameter plus the
         mean loss over the batch.  The hot path is the batched-graph engine of
         :mod:`repro.nn.perexample` (trace once, replay over the stacked
-        batch); ``self.per_example_mode`` selects an engine explicitly:
-        ``"batched"`` and ``"rules"`` force the two fast engines, ``"looped"``
-        forces the one-backward-per-example reference implementation, which is
-        also used automatically (under ``"auto"``) for models the fast
-        engines do not cover.
+        batch); ``self.per_example_mode = "looped"`` forces the
+        one-backward-per-example reference implementation, which is also used
+        automatically (under ``"auto"``) for models that are not traceable.
 
         When the fused executor has primed this trainer with the current
         batch's precomputed result (see :meth:`prime_per_example_stack`), that
@@ -135,33 +125,13 @@ class LocalTrainerBase:
                 )
             return stack, mean_loss
         mode = self.per_example_mode
-        if mode not in ("auto", "batched", "rules", "looped"):
+        if mode not in ("auto", "looped"):
             raise ValueError(
-                f"unknown per_example_mode {mode!r}; "
-                "expected 'auto', 'batched', 'rules' or 'looped'"
+                f"unknown per_example_mode {mode!r}; expected 'auto' or 'looped'"
             )
         if mode == "looped":
             return per_example_gradients_looped(self.model, features, labels)
-        if mode == "rules":
-            return per_example_gradients_rules(self.model, features, labels)
-        if mode == "batched":
-            stack, losses = per_example_gradients_batched(self.model, features, labels)
-            batch = np.asarray(features).shape[0]
-            return stack, float(np.sum(losses)) / max(batch, 1)
         return per_example_gradients(self.model, features, labels)
-
-    def compute_per_example_gradients(
-        self, features: np.ndarray, labels: np.ndarray
-    ) -> Tuple[List[List[np.ndarray]], float]:
-        """Legacy layout: one per-layer gradient list per example.
-
-        Thin wrapper over :meth:`compute_per_example_gradient_stack` kept for
-        callers that want example-major gradients (e.g. inspecting a single
-        example's sanitised gradient); new code should prefer the stacked
-        representation, which the DP pipeline consumes without reassembly.
-        """
-        stack, mean_loss = self.compute_per_example_gradient_stack(features, labels)
-        return stack_to_example_lists(stack), mean_loss
 
     # ------------------------------------------------------------------
     # Batch fusion (opt-in, used by the "fused" executor)
@@ -307,8 +277,8 @@ class LocalTrainerBase:
         """
         rng = rng if rng is not None else np.random.default_rng()
         self.model.set_weights(list(global_weights))
-        per_example, _ = self.compute_per_example_gradients(features[:1], labels[:1])
-        return per_example[0]
+        stack, _ = self.compute_per_example_gradient_stack(features[:1], labels[:1])
+        return [layer[0] for layer in stack]
 
     # ------------------------------------------------------------------
     # Privacy accounting
@@ -323,28 +293,6 @@ class LocalTrainerBase:
         """
         del round_index
         return None
-
-    def accumulate_privacy(self, accountant: MomentsAccountant, round_index: int) -> None:
-        """Record one round's spending on a standalone moments accountant.
-
-        Convenience wrapper over :meth:`round_privacy_charge` using the
-        config's equal-shard rates — the paper's accounting model.  The
-        simulation itself goes through ``accountant.charge_round`` so that
-        participant-aware accountants see the realised cohort.
-        """
-        charge = self.round_privacy_charge(round_index)
-        if charge is None:
-            return
-        rate = (
-            self.config.instance_sampling_rate
-            if charge.level == "instance"
-            else self.config.client_sampling_rate
-        )
-        accountant.accumulate(
-            sampling_rate=rate,
-            noise_multiplier=charge.noise_multiplier,
-            steps=charge.steps,
-        )
 
     def supports_instance_level_privacy(self) -> bool:
         """Whether the method provides a per-example (instance-level) DP guarantee."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.federated.config import FederatedConfig
 from repro.nn import Sequential
-from repro.nn.perexample import has_per_example_rules, stack_to_example_lists
+from repro.nn.perexample import is_traceable, stack_to_example_lists
 from repro.privacy.clipping import (
     ClippingPolicy,
     ConstantClipping,
@@ -54,8 +54,8 @@ class FedCDPTrainer(LocalTrainerBase):
         """Fed-CDP's first local step is exactly a per-example stack of the
         raw first batch at the global weights, so the fused executor may
         precompute it — provided the batched engine is in play (fusion with
-        the looped or rules engine would silently change which engine runs)."""
-        return self.per_example_mode in ("auto", "batched") and has_per_example_rules(self.model)
+        the looped engine would silently change which engine runs)."""
+        return self.per_example_mode == "auto" and is_traceable(self.model)
 
     # ------------------------------------------------------------------
     # Algorithm 2, lines 6-15: per-example clip + noise, then batch average.
@@ -144,8 +144,8 @@ class FedCDPTrainer(LocalTrainerBase):
     ) -> List[np.ndarray]:
         rng = rng if rng is not None else np.random.default_rng()
         self.model.set_weights(list(global_weights))
-        per_example, _ = self.compute_per_example_gradients(features[:1], labels[:1])
-        return self.sanitize_per_example_gradient(per_example[0], round_index, rng)
+        stack, _ = self.compute_per_example_gradient_stack(features[:1], labels[:1])
+        return self.sanitize_per_example_gradient([layer[0] for layer in stack], round_index, rng)
 
     # ------------------------------------------------------------------
     # Privacy accounting: L subsampled-Gaussian invocations per round at the

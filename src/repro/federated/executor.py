@@ -408,7 +408,7 @@ class BatchFusedClientExecutor(ClientExecutor):
             return []
         # Imported here to avoid an import cycle at module load time
         # (repro.core imports repro.federated.config).
-        from repro.nn.perexample import per_example_losses_and_gradients
+        from repro.nn.perexample import per_example_gradients_batched
 
         jobs = []  # one dict per slot: client, rng, optional fusion prep
         groups: dict = {}  # id(trainer) -> (trainer, [slot, ...])
@@ -436,7 +436,7 @@ class BatchFusedClientExecutor(ClientExecutor):
             trainer.model.set_weights(list(global_weights))
             features = np.concatenate([jobs[slot]["prep"][0][0] for slot in slots])
             labels = np.concatenate([jobs[slot]["prep"][0][1] for slot in slots])
-            stack, losses = per_example_losses_and_gradients(trainer.model, features, labels)
+            stack, losses = per_example_gradients_batched(trainer.model, features, labels)
             offset = 0
             for slot in slots:
                 (first_features, first_labels), batch_iter = jobs[slot]["prep"]

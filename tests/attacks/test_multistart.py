@@ -1,9 +1,10 @@
 """Tests for the batched multi-restart reconstruction engine.
 
-The contract mirrors PR 1's looped-vs-vectorized discipline: the vectorized
-dense-rule objective must agree with the looped reference evaluation of the
-same joint objective (values, input gradients and per-restart losses), and
-the full attack must behave like a best-of-R single-restart attack.
+The contract is the looped-vs-vectorized discipline of the per-example
+engine: the batched-graph objective must agree with the looped reference
+evaluation of the same joint objective (values, input gradients and
+per-restart losses), and the full attack must behave like a best-of-R
+single-restart attack.
 """
 
 from __future__ import annotations
@@ -11,13 +12,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks import (
-    AttackConfig,
-    MultiRestartReconstruction,
-    supports_vectorized_restarts,
-)
-from repro.autodiff import Tensor, grad
-from repro.nn import CrossEntropyLoss, build_model_for_dataset, build_tabular_mlp
+from repro.attacks import AttackConfig, MultiRestartReconstruction
+from repro.autodiff import Tensor, broadcast_to, grad, mul, reshape
+from repro.nn import CrossEntropyLoss, Module, build_model_for_dataset, build_tabular_mlp
+from repro.nn.perexample import is_traceable
 from repro.data import generate_dataset, get_dataset_spec
 
 
@@ -37,27 +35,38 @@ def _restart_seeds(count, entropy=7):
     return list(np.random.SeedSequence(entropy).spawn(count))
 
 
-def test_supports_vectorized_restarts_detection():
-    """Since the batched-graph transform the check is purely structural:
-    conv models, the cosine objective and the TV prior all run vectorized."""
+class _OpaqueScale(Module):
+    """A parameterised layer the batched-graph trace does not cover."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.scale = Tensor(np.ones(1), requires_grad=True, name="opaque.scale")
+
+    def forward(self, x):
+        return mul(x, broadcast_to(reshape(self.scale, (1, 1)), x.shape))
+
+
+def _opaque_mlp():
+    model = build_tabular_mlp(4, 2, hidden_sizes=(3,), seed=0)
+    model.layers.append(_OpaqueScale())
+    return model
+
+
+def test_is_traceable_detection():
+    """The check is purely structural: conv models, the cosine objective and
+    the TV prior all run vectorized; a custom parameterised layer does not."""
     dense_model, *_ = _mlp_and_target()
     cnn_model = build_model_for_dataset(get_dataset_spec("mnist"), seed=0, scale=0.25)
-    l2 = AttackConfig(max_iterations=5)
-    assert supports_vectorized_restarts(dense_model, l2)
-    assert supports_vectorized_restarts(cnn_model, l2)
-    assert supports_vectorized_restarts(dense_model, AttackConfig(max_iterations=5, objective="cosine"))
-    assert supports_vectorized_restarts(cnn_model, AttackConfig(max_iterations=5, tv_weight=0.1))
+    assert is_traceable(dense_model)
+    assert is_traceable(cnn_model)
+    assert not is_traceable(_opaque_mlp())
 
-    class _Opaque:
-        def parameters(self):
-            return [object()]
-
-        def __call__(self, x):  # pragma: no cover - never invoked
-            return x
-
-    opaque = build_tabular_mlp(4, 2, hidden_sizes=(3,), seed=0)
-    opaque.layers.append(_Opaque())
-    assert not supports_vectorized_restarts(opaque, l2)
+    model, x_true, y_true, target = _mlp_and_target()
+    config = AttackConfig(max_iterations=2, objective="cosine", tv_weight=0.1)
+    result = MultiRestartReconstruction(model, config).run(
+        target, x_true.shape[1:], _restart_seeds(2), labels=y_true
+    )
+    assert result.vectorized
 
 
 def test_vectorized_objective_matches_looped_reference():
@@ -186,9 +195,14 @@ def test_cosine_tv_objective_matches_looped_reference():
     np.testing.assert_allclose(grad_v, grad_l, rtol=1e-7, atol=1e-9)
 
 
-def test_force_looped_debug_flag():
-    model, x, y, target = _cnn_and_target()
-    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=4), force_looped=True)
+def test_untraceable_model_runs_looped_end_to_end():
+    model = _opaque_mlp()
+    x = np.random.default_rng(0).uniform(0.0, 1.0, size=(1, 4))
+    y = np.array([1])
+    target = [
+        g.numpy() for g in grad(CrossEntropyLoss()(model(Tensor(x)), y), model.parameters())
+    ]
+    attack = MultiRestartReconstruction(model, AttackConfig(max_iterations=4))
     result = attack.run(target, x.shape[1:], _restart_seeds(2), ground_truth=x[0], labels=y)
     assert not result.vectorized
     assert result.restarts == 2

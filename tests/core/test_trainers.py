@@ -19,6 +19,7 @@ from repro.experiments.harness import quick_config
 from repro.nn import build_model_for_dataset
 from repro.privacy import MomentsAccountant, l2_norm
 from repro.privacy.clipping import LinearDecayClipping
+from repro.privacy.ledger import AccountingContext
 
 
 @pytest.fixture
@@ -52,10 +53,9 @@ def test_per_example_gradients_average_to_batch_gradient(small_setup):
     trainer = NonPrivateTrainer(model, config)
     features, labels = dataset.features[:4], dataset.labels[:4]
     batch_gradients, _ = trainer.compute_batch_gradient(features, labels)
-    per_example, _ = trainer.compute_per_example_gradients(features, labels)
-    for layer_index, batch_layer in enumerate(batch_gradients):
-        averaged = np.mean([example[layer_index] for example in per_example], axis=0)
-        np.testing.assert_allclose(averaged, batch_layer, atol=1e-10)
+    stack, _ = trainer.compute_per_example_gradient_stack(features, labels)
+    for layer, batch_layer in zip(stack, batch_gradients):
+        np.testing.assert_allclose(layer.mean(axis=0), batch_layer, atol=1e-10)
 
 
 def test_train_client_returns_consistent_update(small_setup):
@@ -117,14 +117,15 @@ def test_fed_cdp_per_example_sanitisation_clips_and_noises(small_setup):
     _, config, model, dataset = small_setup
     config = config.with_overrides(method="fed_cdp", clipping_bound=0.1, noise_scale=0.0)
     trainer = FedCDPTrainer(model, config)
-    per_example, _ = trainer.compute_per_example_gradients(dataset.features[:2], dataset.labels[:2])
-    sanitized = trainer.sanitize_per_example_gradient(per_example[0], 0, np.random.default_rng(0))
+    stack, _ = trainer.compute_per_example_gradient_stack(dataset.features[:2], dataset.labels[:2])
+    first_example = [layer[0] for layer in stack]
+    sanitized = trainer.sanitize_per_example_gradient(first_example, 0, np.random.default_rng(0))
     # with zero noise, sanitisation is exactly per-layer clipping
     for layer in sanitized:
         assert l2_norm(layer) <= 0.1 + 1e-9
 
     noisy_trainer = FedCDPTrainer(model, config.with_overrides(noise_scale=3.0))
-    noisy = noisy_trainer.sanitize_per_example_gradient(per_example[0], 0, np.random.default_rng(0))
+    noisy = noisy_trainer.sanitize_per_example_gradient(first_example, 0, np.random.default_rng(0))
     assert any(not np.allclose(a, b) for a, b in zip(noisy, sanitized))
 
 
@@ -160,10 +161,17 @@ def test_privacy_accounting_fed_cdp_vs_fed_sdp(small_setup):
     sdp = FedSDPTrainer(model, config.with_overrides(method="fed_sdp"))
     nonprivate = NonPrivateTrainer(model, config.with_overrides(method="nonprivate"))
 
-    acc_cdp, acc_sdp, acc_none = MomentsAccountant(), MomentsAccountant(), MomentsAccountant()
-    cdp.accumulate_privacy(acc_cdp, 0)
-    sdp.accumulate_privacy(acc_sdp, 0)
-    nonprivate.accumulate_privacy(acc_none, 0)
+    context = AccountingContext.from_config(config, [100] * config.num_clients)
+
+    def charged(trainer):
+        accountant = MomentsAccountant()
+        accountant.bind_context(context)
+        charge = trainer.round_privacy_charge(0)
+        if charge is not None:
+            accountant.charge_round(charge, participants=[0])
+        return accountant
+
+    acc_cdp, acc_sdp, acc_none = charged(cdp), charged(sdp), charged(nonprivate)
     assert acc_cdp.steps == config.effective_local_iterations
     assert acc_sdp.steps == 1
     assert acc_none.steps == 0
@@ -203,7 +211,15 @@ def test_cnn_per_example_gradients_shapes():
     model = build_model_for_dataset(spec, seed=0, scale=0.25)
     trainer = FedCDPTrainer(model, config)
     data = generate_dataset(spec, 3, seed=0)
-    per_example, loss = trainer.compute_per_example_gradients(data.features[:2], data.labels[:2])
-    assert len(per_example) == 2
-    assert [g.shape for g in per_example[0]] == [p.shape for p in model.parameters()]
+    stack, loss = trainer.compute_per_example_gradient_stack(data.features[:2], data.labels[:2])
+    assert [g.shape for g in stack] == [(2,) + p.shape for p in model.parameters()]
     assert np.isfinite(loss)
+
+
+@pytest.mark.parametrize("mode", ["rules", "batched"])
+def test_per_example_mode_accepts_only_auto_or_looped(small_setup, mode):
+    _, config, model, dataset = small_setup
+    trainer = FedCDPTrainer(model, config)
+    trainer.per_example_mode = mode
+    with pytest.raises(ValueError, match=r"'auto' or 'looped'"):
+        trainer.compute_per_example_gradient_stack(dataset.features[:2], dataset.labels[:2])
