@@ -43,27 +43,16 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+import typing
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-import dataclasses
-
-from repro.data.partition import PARTITION_STRATEGIES
 from repro.experiments.harness import SCALE_PROFILES, make_config
-from repro.federated.config import (
-    ACCOUNTANT_NAMES,
-    ATTACK_KINDS,
-    BYZANTINE_MODES,
-    CLIENT_SAMPLING_SCHEMES,
-    CLIENT_STATE_MODES,
-    EXECUTORS,
-    METHODS,
-    FederatedConfig,
-    normalize_attack_rounds,
-)
+from repro.federated.config import ATTACK_KINDS, METHODS, RESUME_MUTABLE_FIELDS, FederatedConfig
 from repro.federated.simulation import FederatedSimulation
 
 __all__ = ["main", "build_parser", "load_config_file", "run_experiment"]
@@ -73,32 +62,35 @@ __all__ = ["main", "build_parser", "load_config_file", "run_experiment"]
 _RUNNER_KEYS = ("profile",)
 
 
-def _parse_attack_rounds(tokens: Optional[List[str]]) -> Optional[object]:
-    """Turn ``--attack-rounds`` tokens into a config value.
+#: FederatedConfig fields that have a ``run`` flag, in declaration order
+_FLAG_FIELDS = tuple(
+    config_field for config_field in dataclasses.fields(FederatedConfig) if config_field.metadata["flag"]
+)
 
-    Accepts either one ``every_k`` token (attack rounds ``0, k, 2k, ...``) or
-    a list of round indices.  The result is canonicalised with
-    :func:`repro.federated.config.normalize_attack_rounds` and returned in
-    its JSON shape (a sorted list), so resume-conflict checks compare equal
-    against checkpointed configs.
+
+def _flag_kwargs(hint, choices: Optional[Sequence[str]]) -> dict:
+    """argparse keyword arguments for a config field of type ``hint``.
+
+    ``Optional`` is unwrapped; tuples take ``nargs="+"`` of their element type
+    (``str`` for a union such as ``attack_rounds``, whose tokens the config
+    normalises); ``bool`` is a value-less switch.
     """
-    if tokens is None:
-        return None
-    if len(tokens) == 1 and tokens[0].startswith("every_"):
-        try:
-            return normalize_attack_rounds(tokens[0])
-        except ValueError as error:
-            raise SystemExit(f"--attack-rounds: {error}")
-    try:
-        rounds = [int(token) for token in tokens]
-    except ValueError:
-        raise SystemExit(
-            f"--attack-rounds expects round indices or a single 'every_k', got {tokens}"
-        )
-    try:
-        return list(normalize_attack_rounds(rounds))
-    except ValueError as error:
-        raise SystemExit(f"--attack-rounds: {error}")
+    members = [hint]
+    if typing.get_origin(hint) is typing.Union:
+        members = [member for member in typing.get_args(hint) if member is not type(None)]
+    if members == [bool]:
+        return {"action": "store_const", "const": True}
+    tuples = [member for member in members if typing.get_origin(member) is tuple]
+    if tuples:
+        return {"nargs": "+", "type": typing.get_args(tuples[0])[0] if members == tuples else str}
+    return {"type": members[0], "choices": choices}
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def load_config_file(path: str) -> dict:
@@ -145,77 +137,28 @@ def load_config_file(path: str) -> dict:
 def _config_from_args(args: argparse.Namespace) -> tuple:
     """Materialise the run config from profile defaults, file, and flags.
 
-    Returns ``(config, profile, explicit)`` where ``explicit`` maps every
+    Returns ``(config, profile, explicit)`` where ``explicit`` names every
     :class:`FederatedConfig` field the user pinned (via a CLI flag or the
-    config file — not via profile defaults) to its requested value; ``run``
-    uses it to detect conflicts with a resumed checkpoint.
+    config file — not via profile defaults); ``run`` uses it to detect
+    conflicts with a resumed checkpoint.  An invalid value is reported as a
+    usage error of the ``run`` subcommand (exit status 2).
     """
-    file_overrides: dict = {}
-    if args.config:
-        file_overrides = load_config_file(args.config)
-    file_profile = file_overrides.pop("profile", None)
+    overrides = load_config_file(args.config) if args.config else {}
+    file_profile = overrides.pop("profile", None)
     profile = args.profile or file_profile or "quick"
     if profile not in SCALE_PROFILES:
         raise SystemExit(f"unknown profile {profile!r}; expected one of {sorted(SCALE_PROFILES)}")
-
-    overrides = dict(file_overrides)
-    # canonicalise schedule-shaped file values exactly as FederatedConfig
-    # will, so resume-conflict checks compare like against like (replaying
-    # the original --config command with --resume appended must work even
-    # when the file lists rounds/clients unsorted or with duplicates)
-    if overrides.get("attack_rounds") is not None:
-        try:
-            normalised = normalize_attack_rounds(overrides["attack_rounds"])
-        except ValueError as error:
-            raise SystemExit(f"config file attack_rounds: {error}")
-        overrides["attack_rounds"] = (
-            normalised if isinstance(normalised, str) else list(normalised)
-        )
-    if overrides.get("attack_clients") is not None:
-        overrides["attack_clients"] = sorted({int(c) for c in overrides["attack_clients"]})
-    flag_overrides = {
-        "dataset": args.dataset,
-        "method": args.method,
-        "rounds": args.rounds,
-        "num_clients": args.clients,
-        "participation_fraction": args.participation,
-        "seed": args.seed,
-        "eval_every": args.eval_every,
-        "executor": args.executor,
-        "num_workers": args.workers,
-        "client_state": args.client_state,
-        "worker_chunk_size": args.worker_chunk_size,
-        "noise_scale": args.noise_scale,
-        "clipping_bound": args.clipping_bound,
-        "partition": args.partition,
-        "dirichlet_alpha": args.dirichlet_alpha,
-        "quantity_skew_exponent": args.quantity_skew_exponent,
-        "client_sampling": args.client_sampling,
-        "dropout_rate": args.dropout,
-        "straggler_deadline": args.straggler_deadline,
-        "availability_cycle": args.availability_cycle,
-        "availability_period": args.availability_period,
-        "churn_rate": args.churn_rate,
-        "device_classes": args.device_classes,
-        "drift_rate": args.drift,
-        "accountant": args.accountant,
-        "epsilon_budget": args.epsilon_budget,
-        "attack": args.attack,
-        "attack_rounds": _parse_attack_rounds(args.attack_rounds),
-        "attack_clients": sorted(set(args.attack_clients)) if args.attack_clients else None,
-        "attack_seeds": args.attack_seeds,
-        "attack_iterations": args.attack_iterations,
-        "byzantine_clients": sorted(set(args.byzantine_clients)) if args.byzantine_clients else None,
-        "byzantine_mode": args.byzantine_mode,
-        "byzantine_scale": args.byzantine_scale,
-        "secure_aggregation": args.secure_aggregation,
-        "secure_mask_scale": args.secure_mask_scale,
-    }
-    overrides.update({key: value for key, value in flag_overrides.items() if value is not None})
-    explicit = dict(overrides)
+    for config_field in _FLAG_FIELDS:
+        if getattr(args, config_field.name) is not None:
+            overrides[config_field.name] = getattr(args, config_field.name)
+    explicit = set(overrides)
     dataset = overrides.pop("dataset", None) or "mnist"
     method = overrides.pop("method", None) or "fed_cdp"
-    return make_config(dataset, method, profile=profile, **overrides), profile, explicit
+    try:
+        config = make_config(dataset, method, profile=profile, **overrides)
+    except (KeyError, ValueError) as error:
+        args.run_parser.error(error.args[0])
+    return config, profile, explicit
 
 
 def run_experiment(
@@ -224,11 +167,7 @@ def run_experiment(
     checkpoint_every: int = 1,
     resume: bool = False,
     verbose: bool = False,
-    resume_executor: Optional[str] = None,
-    resume_workers: Optional[int] = None,
-    resume_rounds: Optional[int] = None,
-    resume_client_state: Optional[str] = None,
-    resume_worker_chunk_size: Optional[int] = None,
+    resume_overrides: Optional[Mapping[str, object]] = None,
     history_spool: Optional[str] = None,
     history_tail: int = 64,
 ):
@@ -236,13 +175,12 @@ def run_experiment(
 
     Returns ``(history, wall_clock_seconds, simulation)``; the simulation's
     executor is already closed when this returns.  On resume, the checkpoint
-    pins every numerics-affecting field; ``resume_executor`` /
-    ``resume_workers`` / ``resume_client_state`` / ``resume_worker_chunk_size``
-    override the checkpointed execution backend only when explicitly given
-    (``None`` keeps the checkpoint's choice), and an explicit larger
-    ``resume_rounds`` extends the run ("resume and keep going").
-    ``history_spool`` streams the round history to a JSONL file with only a
-    ``history_tail``-sized window in RAM (see docs/cross_device_scale.md).
+    pins every numerics-affecting field; ``resume_overrides`` maps fields of
+    :data:`~repro.federated.config.RESUME_MUTABLE_FIELDS` to new values (the
+    execution backend, or a larger ``rounds`` to extend the run — "resume and
+    keep going").  ``history_spool`` streams the round history to a JSONL
+    file with only a ``history_tail``-sized window in RAM (see
+    docs/cross_device_scale.md).
     """
     if resume:
         if not checkpoint_path:
@@ -252,20 +190,14 @@ def run_experiment(
         try:
             simulation = FederatedSimulation.from_checkpoint(
                 checkpoint_path,
-                executor=resume_executor,
-                num_workers=resume_workers,
-                rounds=resume_rounds,
-                client_state=resume_client_state,
-                worker_chunk_size=resume_worker_chunk_size,
                 history_spool=history_spool,
                 history_tail=history_tail,
+                **(resume_overrides or {}),
             )
         except ValueError as error:
             raise SystemExit(f"--resume: {error}")
     else:
-        simulation = FederatedSimulation(
-            config, history_spool=history_spool, history_tail=history_tail
-        )
+        simulation = FederatedSimulation(config, history_spool=history_spool, history_tail=history_tail)
     started = time.perf_counter()
     try:
         history = simulation.run(
@@ -278,38 +210,26 @@ def run_experiment(
     return history, time.perf_counter() - started, simulation
 
 
-#: config fields the user may legitimately change when resuming a checkpoint
-_RESUME_MUTABLE_FIELDS = ("rounds", "executor", "num_workers", "client_state", "worker_chunk_size")
-
-#: default value of every FederatedConfig field — used to compare explicit
-#: flags against checkpoints whose config omits fields still at their default
-#: (FederatedConfig.to_dict drops such fields for format compatibility)
-_CONFIG_FIELD_DEFAULTS = {
-    config_field.name: config_field.default
-    for config_field in dataclasses.fields(FederatedConfig)
-}
-
-
-def _reject_resume_conflicts(explicit: dict, checkpoint_path: str) -> None:
+def _reject_resume_conflicts(config: FederatedConfig, explicit: set, checkpoint_path: str) -> None:
     """On --resume the checkpoint pins the numerics; fail loudly on conflicts.
 
     Re-running the original command with ``--resume`` appended must work, so
     explicitly-passed values that *match* the checkpoint are fine; a changed
     ``--seed`` or ``--noise-scale`` is rejected instead of silently ignored
     (the user would otherwise attribute the unchanged results to parameters
-    that were never applied).  The execution backend and an extending
+    that were never applied).  Both sides are compared as built configs, so
+    a value the config canonicalises (an unsorted client list, say) matches
+    its checkpointed form.  The execution backend and an extending
     ``--rounds`` remain free.
     """
     if not os.path.exists(checkpoint_path):
         return  # run_experiment reports the missing checkpoint
     with open(checkpoint_path) as handle:
-        checkpoint_config = json.load(handle)["config"]
+        checkpoint_config = FederatedConfig.from_dict(json.load(handle)["config"])
     conflicts = [
-        f"{field} (checkpoint: {checkpoint_config.get(field, _CONFIG_FIELD_DEFAULTS.get(field))!r}, "
-        f"requested: {value!r})"
-        for field, value in sorted(explicit.items())
-        if field not in _RESUME_MUTABLE_FIELDS
-        and checkpoint_config.get(field, _CONFIG_FIELD_DEFAULTS.get(field)) != value
+        f"{name} (checkpoint: {getattr(checkpoint_config, name)!r}, requested: {getattr(config, name)!r})"
+        for name in sorted(explicit - set(RESUME_MUTABLE_FIELDS))
+        if getattr(checkpoint_config, name) != getattr(config, name)
     ]
     if conflicts:
         raise SystemExit(
@@ -321,7 +241,7 @@ def _reject_resume_conflicts(explicit: dict, checkpoint_path: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config, profile, explicit = _config_from_args(args)
     if args.resume and args.checkpoint:
-        _reject_resume_conflicts(explicit, args.checkpoint)
+        _reject_resume_conflicts(config, explicit, args.checkpoint)
     history, elapsed, simulation = run_experiment(
         config,
         checkpoint_path=args.checkpoint,
@@ -329,11 +249,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         resume=args.resume,
         verbose=args.verbose,
         # only an explicit flag overrides the checkpointed backend on resume
-        resume_executor=args.executor,
-        resume_workers=args.workers,
-        resume_rounds=args.rounds,
-        resume_client_state=args.client_state,
-        resume_worker_chunk_size=args.worker_chunk_size,
+        resume_overrides={
+            name: getattr(args, name) for name in RESUME_MUTABLE_FIELDS if getattr(args, name) is not None
+        },
         history_spool=args.history_spool,
         history_tail=args.history_tail,
     )
@@ -501,157 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run one federated experiment")
     run.add_argument("--config", help="YAML/JSON file of FederatedConfig overrides (+ optional 'profile')")
     run.add_argument("--profile", choices=sorted(SCALE_PROFILES), help="scale profile (default: quick)")
-    run.add_argument("--dataset", help="benchmark dataset (default: mnist)")
-    run.add_argument("--method", choices=METHODS, help="training method (default: fed_cdp)")
-    run.add_argument("--rounds", type=int, help="number of federated rounds T")
-    run.add_argument("--clients", type=int, help="total number of clients K")
-    run.add_argument("--participation", type=float, help="participating fraction Kt/K")
-    run.add_argument("--eval-every", type=int, help="evaluate every this many rounds")
-    run.add_argument("--noise-scale", type=float, help="DP noise multiplier sigma")
-    run.add_argument("--clipping-bound", type=float, help="DP clipping bound C")
-    run.add_argument(
-        "--accountant",
-        choices=ACCOUNTANT_NAMES,
-        help="privacy accountant: 'moments' (the paper's equal-shard model, default) or "
-        "'heterogeneous' (per-client RDP ledger over the realised partition)",
-    )
-    run.add_argument(
-        "--epsilon-budget",
-        type=float,
-        help="stop before the first round whose release would exceed this epsilon",
-    )
-    run.add_argument(
-        "--partition",
-        choices=PARTITION_STRATEGIES,
-        help="data heterogeneity strategy (default: shards, the paper's scheme)",
-    )
-    run.add_argument(
-        "--dirichlet-alpha", type=float, help="Dirichlet concentration for --partition dirichlet"
-    )
-    run.add_argument(
-        "--quantity-skew-exponent",
-        type=float,
-        help="power-law exponent for --partition quantity_skew (0 = equal sizes)",
-    )
-    run.add_argument(
-        "--client-sampling",
-        choices=CLIENT_SAMPLING_SCHEMES,
-        help="per-round cohort selection (default: fixed)",
-    )
-    run.add_argument(
-        "--dropout", type=float, help="per-round probability a selected client drops out"
-    )
-    run.add_argument(
-        "--straggler-deadline",
-        type=float,
-        help="round deadline in simulated time units (lognormal(0,1) client durations)",
-    )
-    run.add_argument(
-        "--availability-cycle",
-        type=float,
-        help="diurnal availability-cycle amplitude in (0, 1]: each client's "
-        "offline probability follows a per-client phase-offset sinusoid over "
-        "round time (see docs/scenarios.md)",
-    )
-    run.add_argument(
-        "--availability-period",
-        type=int,
-        help="period of the diurnal cycle in rounds (default 24)",
-    )
-    run.add_argument(
-        "--churn-rate",
-        type=float,
-        help="client churn rate in (0, 1): each client lives a geometric number "
-        "of rounds with mean 1/rate before leaving the population",
-    )
-    run.add_argument(
-        "--device-classes",
-        nargs="+",
-        type=float,
-        metavar="MULTIPLIER",
-        help="per-client device-class straggler-duration multipliers, e.g. "
-        "'0.5 1 2' for fast/mid/slow hardware (each client draws one class "
-        "for the whole run; pair with --straggler-deadline)",
-    )
-    run.add_argument(
-        "--drift",
-        type=float,
-        help="per-round concept-drift rate in (0, 1]: at round t a fraction "
-        "min(1, rate*t) of every client's shard carries a resampled label",
-    )
-    run.add_argument(
-        "--attack",
-        choices=ATTACK_KINDS,
-        help="run the in-loop adversary during training (see docs/in_loop_attacks.md)",
-    )
-    run.add_argument(
-        "--attack-rounds",
-        nargs="+",
-        metavar="ROUND|every_k",
-        help="rounds to attack: explicit indices ('0 5 10') or one 'every_k' "
-        "(default with --attack: every round)",
-    )
-    run.add_argument(
-        "--attack-clients",
-        nargs="+",
-        type=int,
-        metavar="CLIENT",
-        help="client ids to attack when they participate (default: all participants)",
-    )
-    run.add_argument(
-        "--attack-seeds",
-        type=int,
-        help="dummy-seed restarts per attack, optimised as one batched reconstruction",
-    )
-    run.add_argument(
-        "--attack-iterations", type=int, help="attack optimiser iteration cap per attack"
-    )
-    run.add_argument(
-        "--byzantine-clients",
-        nargs="+",
-        type=int,
-        metavar="CLIENT",
-        help="client ids that misbehave every round (requires --byzantine-mode)",
-    )
-    run.add_argument(
-        "--byzantine-mode",
-        choices=BYZANTINE_MODES,
-        help="byzantine behaviour: 'scale' / 'sign_flip' corrupt the upload, "
-        "'label_flip' poisons the client's shard (see docs/in_loop_attacks.md)",
-    )
-    run.add_argument(
-        "--byzantine-scale",
-        type=float,
-        help="multiplier for --byzantine-mode scale (default 10)",
-    )
-    run.add_argument(
-        "--secure-aggregation",
-        action="store_const",
-        const=True,
-        default=None,
-        help="mask uploads with pairwise secure aggregation (fedsgd only; the "
-        "masks cancel in the aggregate)",
-    )
-    run.add_argument(
-        "--secure-mask-scale",
-        type=float,
-        help="stddev of the pairwise secure-aggregation masks (default 10)",
-    )
-    run.add_argument("--seed", type=int, help="global RNG seed")
-    run.add_argument("--executor", choices=EXECUTORS, help="client-execution backend (default: serial)")
-    run.add_argument("--workers", type=int, help="worker-pool size for --executor multiprocessing")
-    run.add_argument(
-        "--client-state",
-        choices=CLIENT_STATE_MODES,
-        help="client materialisation: 'eager' builds all K shards up front, 'lazy' "
-        "derives only each round's cohort on demand; 'auto' (default) picks lazy "
-        "from 10k clients (numerics are identical — see docs/cross_device_scale.md)",
-    )
-    run.add_argument(
-        "--worker-chunk-size",
-        type=int,
-        help="clients dispatched per multiprocessing task (default: cohort/workers)",
-    )
+    hints = typing.get_type_hints(FederatedConfig)
+    for config_field in _FLAG_FIELDS:
+        run.add_argument(
+            config_field.metadata["flag"],
+            dest=config_field.name,
+            help=config_field.metadata["help"],
+            **_flag_kwargs(hints[config_field.name], config_field.metadata["choices"]),
+        )
     run.add_argument(
         "--history-spool",
         help="stream per-round history to this JSONL file instead of holding every "
@@ -659,18 +434,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--history-tail",
-        type=int,
+        type=_positive_int,
         default=64,
         help="rounds kept in RAM when --history-spool is set (default 64)",
     )
     run.add_argument("--checkpoint", help="round-level JSON checkpoint path")
     run.add_argument(
-        "--checkpoint-every", type=int, default=1, help="write the checkpoint every N rounds (default 1)"
+        "--checkpoint-every",
+        type=_positive_int,
+        default=1,
+        help="write the checkpoint every N rounds (default 1)",
     )
     run.add_argument("--resume", action="store_true", help="resume from --checkpoint if it exists")
     run.add_argument("--output", help="write the run history as JSON to this path")
     run.add_argument("--verbose", action="store_true", help="print per-round progress")
-    run.set_defaults(handler=_cmd_run)
+    run.set_defaults(handler=_cmd_run, run_parser=run)
 
     scenarios = subparsers.add_parser(
         "scenarios",

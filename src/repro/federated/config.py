@@ -11,7 +11,7 @@ Fed-CDP, Fed-CDP(decay), DSSGD) and its differential-privacy parameters
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from repro.data.partition import PARTITION_STRATEGIES
@@ -22,6 +22,7 @@ from .byzantine import BYZANTINE_MODES
 
 __all__ = [
     "FederatedConfig",
+    "RESUME_MUTABLE_FIELDS",
     "METHODS",
     "PRIVATE_METHODS",
     "EXECUTORS",
@@ -80,19 +81,26 @@ def normalize_attack_rounds(
 ) -> Optional[Union[str, Tuple[int, ...]]]:
     """Validate and canonicalise an ``attack_rounds`` specification.
 
-    ``None`` (attack every round) and ``"every_k"`` strings pass through;
-    explicit round lists become sorted, de-duplicated tuples of non-negative
-    ints so that configs rebuilt from JSON checkpoints compare equal.
+    ``None`` (attack every round) and ``"every_k"`` strings pass through (a
+    one-token sequence such as ``["every_2"]`` — the CLI's ``--attack-rounds
+    every_2`` — counts as the string); explicit round lists (ints or digit
+    strings) become sorted, de-duplicated tuples of non-negative ints so that
+    configs rebuilt from JSON checkpoints compare equal.
     """
     if value is None:
         return None
+    if not isinstance(value, str) and len(value) == 1 and str(value[0]).startswith("every_"):
+        value = value[0]
     if isinstance(value, str):
         if _EVERY_K_PATTERN.match(value) is None:
             raise ValueError(
                 f"attack_rounds string must look like 'every_k' (k >= 1), got {value!r}"
             )
         return value
-    rounds = tuple(sorted({int(r) for r in value}))
+    try:
+        rounds = tuple(sorted({int(r) for r in value}))
+    except ValueError:
+        raise ValueError(f"attack_rounds expects round indices or a single 'every_k', got {list(value)}") from None
     if not rounds:
         raise ValueError("attack_rounds must name at least one round (or be None)")
     if rounds[0] < 0:
@@ -100,171 +108,282 @@ def normalize_attack_rounds(
     return rounds
 
 
+def _field(
+    default,
+    help: str,
+    *,
+    flag: Optional[str] = None,
+    choices: Optional[Tuple[str, ...]] = None,
+    omit_at_default: bool = False,
+    resume_mutable: bool = False,
+):
+    """Declare one :class:`FederatedConfig` field together with its metadata.
+
+    ``help`` documents the field (and is the ``run`` option's help text);
+    ``flag`` is its ``python -m repro run`` option string (``None`` = no
+    flag); ``choices`` restricts its value (checked in ``__post_init__`` and
+    by argparse); ``omit_at_default`` drops it from :meth:`FederatedConfig.
+    to_dict` while it equals ``default``, so checkpoints and golden fixtures
+    written before the field existed stay byte-identical; ``resume_mutable``
+    lets a resumed checkpoint override it (see :data:`RESUME_MUTABLE_FIELDS`).
+    """
+    metadata = dict(
+        help=help,
+        flag=flag,
+        choices=choices,
+        omit_at_default=omit_at_default,
+        resume_mutable=resume_mutable,
+    )
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class FederatedConfig:
     """Full description of one federated-learning run."""
 
-    #: dataset name from :mod:`repro.data.registry` (``mnist``, ``cifar10``, ...)
-    dataset: str = "mnist"
-    #: training method, one of :data:`METHODS`
-    method: str = "fed_cdp"
+    dataset: str = _field("mnist", "dataset name from repro.data.registry (mnist, cifar10, ...)", flag="--dataset")
+    method: str = _field("fed_cdp", "training method", flag="--method", choices=METHODS)
 
     # ----- population ------------------------------------------------
-    #: total number of clients ``K``
-    num_clients: int = 100
-    #: fraction of clients participating per round (``Kt / K``)
-    participation_fraction: float = 0.10
-    #: number of federated rounds ``T``
-    rounds: int = 10
+    num_clients: int = _field(100, "total number of clients K", flag="--clients")
+    participation_fraction: float = _field(
+        0.10, "fraction of clients participating per round (Kt/K)", flag="--participation"
+    )
+    rounds: int = _field(10, "number of federated rounds T", flag="--rounds", resume_mutable=True)
 
     # ----- local training --------------------------------------------
-    #: local batch size ``B`` (defaults to the Table-I value when ``None``)
-    batch_size: Optional[int] = None
-    #: local iterations ``L`` per round (defaults to the Table-I value when ``None``)
-    local_iterations: Optional[int] = None
-    #: local SGD learning rate ``eta``
-    learning_rate: float = 0.02
-    #: width multiplier for the model architecture (scaled-down experiments)
-    model_scale: float = 1.0
+    batch_size: Optional[int] = _field(None, "local batch size B (None = the Table-I value)")
+    local_iterations: Optional[int] = _field(None, "local iterations L per round (None = the Table-I value)")
+    learning_rate: float = _field(0.02, "local SGD learning rate eta")
+    model_scale: float = _field(1.0, "width multiplier for the model architecture (scaled-down experiments)")
 
     # ----- synthetic data sizes ----------------------------------------
-    #: number of synthetic training examples to generate
-    num_train_examples: int = 2000
-    #: number of synthetic validation examples to generate
-    num_val_examples: int = 400
-    #: per-client shard size (defaults to the Table-I value when ``None``)
-    data_per_client: Optional[int] = None
+    num_train_examples: int = _field(2000, "number of synthetic training examples to generate")
+    num_val_examples: int = _field(400, "number of synthetic validation examples to generate")
+    data_per_client: Optional[int] = _field(None, "per-client shard size (None = the Table-I value)")
 
     # ----- heterogeneity scenario (see docs/scenarios.md) ---------------
-    #: partition strategy, one of :data:`repro.data.partition.PARTITION_STRATEGIES`
-    #: (``shards`` = the paper's Table-I scheme)
-    partition: str = "shards"
-    #: Dirichlet concentration for ``partition="dirichlet"`` (small = pathological skew)
-    dirichlet_alpha: float = 0.5
-    #: power-law exponent for ``partition="quantity_skew"`` (0 = equal sizes)
-    quantity_skew_exponent: float = 1.5
+    partition: str = _field(
+        "shards",
+        "data heterogeneity strategy (shards = the paper's Table-I scheme)",
+        flag="--partition",
+        choices=PARTITION_STRATEGIES,
+    )
+    dirichlet_alpha: float = _field(
+        0.5,
+        "Dirichlet concentration for --partition dirichlet (small = pathological skew)",
+        flag="--dirichlet-alpha",
+    )
+    quantity_skew_exponent: float = _field(
+        1.5,
+        "power-law exponent for --partition quantity_skew (0 = equal sizes)",
+        flag="--quantity-skew-exponent",
+    )
 
     # ----- client availability (see docs/scenarios.md) ------------------
-    #: per-round client-selection scheme: ``fixed`` (exactly Kt clients) or
-    #: ``poisson`` (each client independently with probability Kt/K; a round
-    #: may select *no* clients and is then skipped)
-    client_sampling: str = "fixed"
-    #: probability that a selected client drops out of a round before
-    #: reporting its update (1.0 = every round is skipped)
-    dropout_rate: float = 0.0
-    #: round deadline in simulated time units; a surviving client whose
-    #: lognormal(0, 1) simulated duration (median 1.0) exceeds it is excluded
-    #: as a straggler (``None`` disables straggler exclusion)
-    straggler_deadline: Optional[float] = None
-    #: amplitude in (0, 1] of the diurnal availability cycle: each client's
-    #: offline probability follows a per-client phase-offset sinusoid over
-    #: round time (``None`` disables; see docs/scenarios.md)
-    availability_cycle: Optional[float] = None
-    #: period of the diurnal cycle in rounds ("hours per day")
-    availability_period: int = 24
-    #: client churn rate in (0, 1): each client lives for a geometric number
-    #: of rounds with mean ``1 / churn_rate`` before leaving the population
-    #: (``None`` disables churn)
-    churn_rate: Optional[float] = None
-    #: per-client device-class straggler-duration multipliers, e.g.
-    #: ``(0.5, 1.0, 2.0)`` for fast/mid/slow hardware — each client draws one
-    #: class for the whole run (``None`` disables; only meaningful together
-    #: with ``straggler_deadline``)
-    device_classes: Optional[Tuple[float, ...]] = None
-    #: per-round concept-drift rate in (0, 1]: at round ``t`` a fraction
-    #: ``min(1, drift_rate * t)`` of every client's shard carries a resampled
-    #: label (``None`` disables drift)
-    drift_rate: Optional[float] = None
+    client_sampling: str = _field(
+        "fixed",
+        "per-round cohort selection: 'fixed' (exactly Kt clients) or 'poisson' (each client "
+        "independently with probability Kt/K; a round may select no clients and is then skipped)",
+        flag="--client-sampling",
+        choices=CLIENT_SAMPLING_SCHEMES,
+    )
+    dropout_rate: float = _field(
+        0.0,
+        "probability that a selected client drops out of a round before reporting its update",
+        flag="--dropout",
+    )
+    straggler_deadline: Optional[float] = _field(
+        None,
+        "round deadline in simulated time units: a surviving client whose lognormal(0, 1) "
+        "duration (median 1.0) exceeds it is excluded as a straggler (None disables)",
+        flag="--straggler-deadline",
+    )
+    availability_cycle: Optional[float] = _field(
+        None,
+        "diurnal availability-cycle amplitude in (0, 1]: each client's offline probability "
+        "follows a per-client phase-offset sinusoid over round time (None disables)",
+        flag="--availability-cycle",
+        omit_at_default=True,
+    )
+    availability_period: int = _field(
+        24,
+        "period of the diurnal cycle in rounds",
+        flag="--availability-period",
+        omit_at_default=True,
+    )
+    churn_rate: Optional[float] = _field(
+        None,
+        "client churn rate in (0, 1): each client lives a geometric number of rounds with "
+        "mean 1/rate before leaving the population (None disables)",
+        flag="--churn-rate",
+        omit_at_default=True,
+    )
+    device_classes: Optional[Tuple[float, ...]] = _field(
+        None,
+        "per-client device-class straggler-duration multipliers, e.g. '0.5 1 2' for "
+        "fast/mid/slow hardware; each client draws one class for the whole run "
+        "(None disables; pair with --straggler-deadline)",
+        flag="--device-classes",
+        omit_at_default=True,
+    )
+    drift_rate: Optional[float] = _field(
+        None,
+        "per-round concept-drift rate in (0, 1]: at round t a fraction min(1, rate*t) of "
+        "every client's shard carries a resampled label (None disables)",
+        flag="--drift",
+        omit_at_default=True,
+    )
 
     # ----- differential privacy ----------------------------------------
-    #: clipping bound ``C`` (paper default 4)
-    clipping_bound: float = 4.0
-    #: noise multiplier ``sigma`` (paper default 6)
-    noise_scale: float = 6.0
-    #: target broken-guarantee probability ``delta``
-    delta: float = 1e-5
-    #: clipping-decay schedule for Fed-CDP(decay): ``(start, end)``
-    decay_clipping: Tuple[float, float] = (6.0, 2.0)
-    #: whether Fed-SDP sanitises at the server (True) or at each client (False)
-    sdp_server_side: bool = False
-    #: privacy accountant, one of :data:`ACCOUNTANT_NAMES`: ``moments`` (the
-    #: paper's equal-shard model) or ``heterogeneous`` (per-client RDP ledger
-    #: over the realised partition — see docs/privacy_accounting.md)
-    accountant: str = "moments"
-    #: stop training before the first round whose release would push the
-    #: accountant's epsilon past this budget (``None`` disables; private
-    #: methods only)
-    epsilon_budget: Optional[float] = None
+    clipping_bound: float = _field(4.0, "DP clipping bound C (paper default 4)", flag="--clipping-bound")
+    noise_scale: float = _field(6.0, "DP noise multiplier sigma (paper default 6)", flag="--noise-scale")
+    delta: float = _field(1e-5, "target broken-guarantee probability delta")
+    decay_clipping: Tuple[float, float] = _field((6.0, 2.0), "clipping-decay schedule (start, end) for Fed-CDP(decay)")
+    sdp_server_side: bool = _field(False, "whether Fed-SDP sanitises at the server (True) or at each client (False)")
+    accountant: str = _field(
+        "moments",
+        "privacy accountant: 'moments' (the paper's equal-shard model) or 'heterogeneous' "
+        "(per-client RDP ledger over the realised partition; see docs/privacy_accounting.md)",
+        flag="--accountant",
+        choices=ACCOUNTANT_NAMES,
+        omit_at_default=True,
+    )
+    epsilon_budget: Optional[float] = _field(
+        None,
+        "stop before the first round whose release would push epsilon past this budget "
+        "(None disables; private methods only)",
+        flag="--epsilon-budget",
+        omit_at_default=True,
+    )
 
     # ----- in-loop adversary (see docs/in_loop_attacks.md) ---------------
-    #: in-loop attack kind, one of :data:`ATTACK_KINDS` (``None`` disables;
-    #: ``leakage`` runs gradient-reconstruction attacks inside the simulation)
-    attack: Optional[str] = None
-    #: rounds at which the adversary strikes: ``None`` (every round), an
-    #: explicit list of round indices, or the string ``"every_k"``
-    attack_rounds: Optional[Union[str, Tuple[int, ...]]] = None
-    #: client ids the adversary targets when they participate in an attacked
-    #: round (``None`` = every participating client)
-    attack_clients: Optional[Tuple[int, ...]] = None
-    #: number of multi-restart dummy seeds per attack, optimised as one
-    #: batched reconstruction (see :mod:`repro.attacks.multistart`)
-    attack_seeds: int = 1
-    #: maximum attack optimiser iterations per in-loop attack (the offline
-    #: harness default of 300 is too slow to run inside every round)
-    attack_iterations: int = 30
+    attack: Optional[str] = _field(
+        None,
+        "in-loop adversary run during training (None disables; see docs/in_loop_attacks.md)",
+        flag="--attack",
+        choices=ATTACK_KINDS,
+        omit_at_default=True,
+    )
+    attack_rounds: Optional[Union[str, Tuple[int, ...]]] = _field(
+        None,
+        "rounds to attack: explicit indices ('0 5 10') or one 'every_k' (None = every round)",
+        flag="--attack-rounds",
+        omit_at_default=True,
+    )
+    attack_clients: Optional[Tuple[int, ...]] = _field(
+        None,
+        "client ids to attack when they participate (None = every participant)",
+        flag="--attack-clients",
+        omit_at_default=True,
+    )
+    attack_seeds: int = _field(
+        1,
+        "dummy-seed restarts per attack, optimised as one batched reconstruction",
+        flag="--attack-seeds",
+        omit_at_default=True,
+    )
+    attack_iterations: int = _field(
+        30,
+        "attack optimiser iteration cap per in-loop attack (the offline harness default of "
+        "300 is too slow to run inside every round)",
+        flag="--attack-iterations",
+        omit_at_default=True,
+    )
 
     # ----- byzantine clients (see docs/in_loop_attacks.md) ----------------
-    #: client ids behaving byzantinely (``None`` = every client is honest);
-    #: must be set together with ``byzantine_mode``
-    byzantine_clients: Optional[Tuple[int, ...]] = None
-    #: byzantine behaviour, one of :data:`BYZANTINE_MODES` (``scale``
-    #: multiplies the uploaded update, ``sign_flip`` negates it,
-    #: ``label_flip`` trains on complement-remapped labels)
-    byzantine_mode: Optional[str] = None
-    #: multiplicative factor applied by ``byzantine_mode="scale"``
-    byzantine_scale: float = 10.0
+    byzantine_clients: Optional[Tuple[int, ...]] = _field(
+        None,
+        "client ids that misbehave every round (None = every client is honest; requires "
+        "--byzantine-mode)",
+        flag="--byzantine-clients",
+        omit_at_default=True,
+    )
+    byzantine_mode: Optional[str] = _field(
+        None,
+        "byzantine behaviour: 'scale' / 'sign_flip' corrupt the upload, 'label_flip' poisons "
+        "the client's shard (requires --byzantine-clients)",
+        flag="--byzantine-mode",
+        choices=BYZANTINE_MODES,
+        omit_at_default=True,
+    )
+    byzantine_scale: float = _field(
+        10.0,
+        "multiplier applied by --byzantine-mode scale",
+        flag="--byzantine-scale",
+        omit_at_default=True,
+    )
 
     # ----- baselines / extensions --------------------------------------
-    #: fraction of parameters shared by the DSSGD baseline
-    dssgd_share_fraction: float = 0.1
-    #: gradient-pruning compression ratio for communication-efficient FL
-    #: (0 disables compression; 0.3 keeps the largest 30% of update entries)
-    compression_ratio: float = 0.0
-    #: aggregation rule: ``fedsgd`` or ``fedavg``
-    aggregation: str = "fedsgd"
-    #: pairwise-masking secure aggregation (Bonawitz et al.): each
-    #: participant uploads its update plus pairwise-cancelling masks, so the
-    #: server (and the in-loop adversary) only ever observes masked updates;
-    #: requires ``aggregation="fedsgd"``
-    secure_aggregation: bool = False
-    #: standard deviation of the pairwise masks (large = stronger hiding of
-    #: the individual update; the aggregate is unaffected either way)
-    secure_mask_scale: float = 10.0
+    dssgd_share_fraction: float = _field(0.1, "fraction of parameters shared by the DSSGD baseline")
+    compression_ratio: float = _field(
+        0.0,
+        "gradient-pruning compression ratio for communication-efficient FL (0 disables; "
+        "0.3 keeps the largest 30 percent of update entries)",
+    )
+    aggregation: str = _field("fedsgd", "aggregation rule", choices=("fedsgd", "fedavg"))
+    secure_aggregation: bool = _field(
+        False,
+        "mask uploads with pairwise secure aggregation (Bonawitz et al.): the server and the "
+        "in-loop adversary only observe masked updates, the masks cancel in the aggregate "
+        "(fedsgd only)",
+        flag="--secure-aggregation",
+        omit_at_default=True,
+    )
+    secure_mask_scale: float = _field(
+        10.0,
+        "stddev of the pairwise secure-aggregation masks (large = stronger hiding of each "
+        "update; the aggregate is unaffected)",
+        flag="--secure-mask-scale",
+        omit_at_default=True,
+    )
 
     # ----- execution -----------------------------------------------------
-    #: client-execution backend: ``serial``, ``multiprocessing`` or ``fused``
-    executor: str = "serial"
-    #: worker-pool size for the multiprocessing backend (``None`` = one per
-    #: participating client, capped at the machine's CPU count)
-    num_workers: Optional[int] = None
-    #: client-state construction mode, one of :data:`CLIENT_STATE_MODES`
-    #: (``auto`` = lazy at populations of :data:`LAZY_CLIENT_STATE_THRESHOLD`
-    #: clients or more, eager below; bit-identical either way)
-    client_state: str = "auto"
-    #: clients per multiprocessing dispatch chunk (``None`` = split the
-    #: cohort evenly, one chunk per worker); the global weights are
-    #: serialised once per chunk
-    worker_chunk_size: Optional[int] = None
+    executor: str = _field(
+        "serial",
+        "client-execution backend (fused stacks the cohort's first minibatches into one "
+        "batched-graph replay)",
+        flag="--executor",
+        choices=EXECUTORS,
+        resume_mutable=True,
+    )
+    num_workers: Optional[int] = _field(
+        None,
+        "worker-pool size for --executor multiprocessing (None = one per participating "
+        "client, capped at the CPU count)",
+        flag="--workers",
+        resume_mutable=True,
+    )
+    client_state: str = _field(
+        "auto",
+        "client materialisation: 'eager' builds all K shards up front, 'lazy' derives only "
+        "each round's cohort on demand, 'auto' picks lazy from 10k clients (numerics are "
+        "identical; see docs/cross_device_scale.md)",
+        flag="--client-state",
+        choices=CLIENT_STATE_MODES,
+        omit_at_default=True,
+        resume_mutable=True,
+    )
+    worker_chunk_size: Optional[int] = _field(
+        None,
+        "clients per multiprocessing dispatch chunk; the global weights are serialised once "
+        "per chunk (None = cohort/workers)",
+        flag="--worker-chunk-size",
+        omit_at_default=True,
+        resume_mutable=True,
+    )
 
     # ----- bookkeeping ---------------------------------------------------
-    #: global seed controlling data generation, partitioning, sampling, noise
-    seed: int = 0
-    #: evaluate validation accuracy every this many rounds (1 = every round)
-    eval_every: int = 1
+    seed: int = _field(0, "global RNG seed (data generation, partitioning, sampling, noise)", flag="--seed")
+    eval_every: int = _field(1, "evaluate validation accuracy every this many rounds", flag="--eval-every")
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for config_field in fields(self):
+            choices = config_field.metadata["choices"]
+            value = getattr(self, config_field.name)
+            if choices is None or value in choices or (value is None and config_field.default is None):
+                continue
+            raise ValueError(f"unknown {config_field.name} {value!r}; expected one of {choices}")
         if self.num_clients <= 0:
             raise ValueError("num_clients must be positive")
         if not 0.0 < self.participation_fraction <= 1.0:
@@ -279,27 +398,18 @@ class FederatedConfig:
             raise ValueError("noise_scale must be non-negative")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        # config files give a list; store the tuple a checkpoint round trip yields
+        self.decay_clipping = tuple(self.decay_clipping)
         if not 0.0 <= self.compression_ratio < 1.0:
             raise ValueError("compression_ratio must lie in [0, 1)")
         if not 0.0 < self.dssgd_share_fraction <= 1.0:
             raise ValueError("dssgd_share_fraction must lie in (0, 1]")
-        if self.aggregation not in ("fedsgd", "fedavg"):
-            raise ValueError("aggregation must be 'fedsgd' or 'fedavg'")
         if self.eval_every <= 0:
             raise ValueError("eval_every must be positive")
-        if self.partition not in PARTITION_STRATEGIES:
-            raise ValueError(
-                f"unknown partition {self.partition!r}; expected one of {PARTITION_STRATEGIES}"
-            )
         if self.dirichlet_alpha <= 0:
             raise ValueError("dirichlet_alpha must be positive")
         if self.quantity_skew_exponent < 0:
             raise ValueError("quantity_skew_exponent must be non-negative")
-        if self.client_sampling not in CLIENT_SAMPLING_SCHEMES:
-            raise ValueError(
-                f"unknown client_sampling {self.client_sampling!r}; "
-                f"expected one of {CLIENT_SAMPLING_SCHEMES}"
-            )
         if not 0.0 <= self.dropout_rate <= 1.0:
             raise ValueError("dropout_rate must lie in [0, 1]")
         if self.straggler_deadline is not None and self.straggler_deadline <= 0:
@@ -320,16 +430,8 @@ class FederatedConfig:
             self.device_classes = classes
         if self.drift_rate is not None and not 0.0 < self.drift_rate <= 1.0:
             raise ValueError("drift_rate must lie in (0, 1] (or None to disable)")
-        if self.accountant not in ACCOUNTANT_NAMES:
-            raise ValueError(
-                f"unknown accountant {self.accountant!r}; expected one of {ACCOUNTANT_NAMES}"
-            )
         if self.epsilon_budget is not None and self.epsilon_budget <= 0:
             raise ValueError("epsilon_budget must be positive (or None to disable)")
-        if self.attack is not None and self.attack not in ATTACK_KINDS:
-            raise ValueError(
-                f"unknown attack {self.attack!r}; expected one of {ATTACK_KINDS} (or None)"
-            )
         self.attack_rounds = normalize_attack_rounds(self.attack_rounds)
         if self.attack_clients is not None:
             clients = tuple(sorted({int(c) for c in self.attack_clients}))
@@ -345,16 +447,9 @@ class FederatedConfig:
                 f"attack_rounds {self.attack_rounds} schedules no attack within the "
                 f"{self.rounds}-round horizon"
             )
-        if self.attack is None and (
-            self.attack_rounds is not None
-            or self.attack_clients is not None
-            or self.attack_seeds != 1
-            or self.attack_iterations != 30
-        ):
-            raise ValueError(
-                "attack_rounds/attack_clients/attack_seeds/attack_iterations require "
-                "an attack kind (set attack='leakage')"
-            )
+        attack_fields = ("attack_rounds", "attack_clients", "attack_seeds", "attack_iterations")
+        if self.attack is None and any(getattr(self, name) != _DEFAULTS[name] for name in attack_fields):
+            raise ValueError("/".join(attack_fields) + " require an attack kind (set attack='leakage')")
         if self.attack_seeds < 1:
             raise ValueError("attack_seeds must be at least 1")
         if self.attack_iterations < 1:
@@ -363,11 +458,6 @@ class FederatedConfig:
             raise ValueError(
                 "byzantine_mode and byzantine_clients must be set together "
                 "(or both left None)"
-            )
-        if self.byzantine_mode is not None and self.byzantine_mode not in BYZANTINE_MODES:
-            raise ValueError(
-                f"unknown byzantine_mode {self.byzantine_mode!r}; "
-                f"expected one of {BYZANTINE_MODES}"
             )
         if self.byzantine_clients is not None:
             byzantine = tuple(sorted({int(c) for c in self.byzantine_clients}))
@@ -387,15 +477,8 @@ class FederatedConfig:
                 "secure_aggregation masks shared *updates* and therefore requires "
                 "aggregation='fedsgd'"
             )
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}; expected one of {EXECUTORS}")
         if self.num_workers is not None and self.num_workers < 1:
             raise ValueError("num_workers must be at least 1 (or None for auto)")
-        if self.client_state not in CLIENT_STATE_MODES:
-            raise ValueError(
-                f"unknown client_state {self.client_state!r}; "
-                f"expected one of {CLIENT_STATE_MODES}"
-            )
         if self.worker_chunk_size is not None and self.worker_chunk_size < 1:
             raise ValueError("worker_chunk_size must be at least 1 (or None for auto)")
         # fail fast on typos in the dataset name
@@ -467,75 +550,32 @@ class FederatedConfig:
     def to_dict(self) -> dict:
         """Plain-JSON-serialisable dictionary of the config.
 
-        Fields added after the checkpoint format stabilised (``accountant``,
-        ``epsilon_budget``, the ``attack*`` family) are omitted while at their
-        defaults, so default runs keep emitting byte-identical checkpoints and
-        golden fixtures, and checkpoints written before those fields existed
-        still satisfy :meth:`from_dict` round-trip equality.
+        Fields declared ``omit_at_default`` (those added after the checkpoint
+        format stabilised) are dropped while at their defaults, so default
+        runs keep emitting byte-identical checkpoints and golden fixtures, and
+        checkpoints written before those fields existed still satisfy
+        :meth:`from_dict` round-trip equality.
         """
         payload = asdict(self)
-        if payload["accountant"] == "moments":
-            del payload["accountant"]
-        if payload["epsilon_budget"] is None:
-            del payload["epsilon_budget"]
-        # same convention for the cross-device-scale execution knobs: both
-        # modes are bit-identical, so defaults stay out of the payload and
-        # pre-scale checkpoints/fixtures keep their byte-exact form
-        if payload["client_state"] == "auto":
-            del payload["client_state"]
-        if payload["worker_chunk_size"] is None:
-            del payload["worker_chunk_size"]
-        for attack_field, default in (
-            ("attack", None),
-            ("attack_rounds", None),
-            ("attack_clients", None),
-            ("attack_seeds", 1),
-            ("attack_iterations", 30),
-        ):
-            if payload[attack_field] == default:
-                del payload[attack_field]
-        # threat-catalogue fields (byzantine clients, secure aggregation)
-        # follow the same convention: absent at defaults, so every honest run
-        # keeps its pre-catalogue byte-exact payload
-        for threat_field, default in (
-            ("byzantine_clients", None),
-            ("byzantine_mode", None),
-            ("byzantine_scale", 10.0),
-            ("secure_aggregation", False),
-            ("secure_mask_scale", 10.0),
-        ):
-            if payload[threat_field] == default:
-                del payload[threat_field]
-        # population-dynamics fields (diurnal cycle, churn, device classes,
-        # drift) — absent at defaults, so every pre-dynamics checkpoint and
-        # golden fixture keeps its byte-exact payload
-        for dynamics_field, default in (
-            ("availability_cycle", None),
-            ("availability_period", 24),
-            ("churn_rate", None),
-            ("device_classes", None),
-            ("drift_rate", None),
-        ):
-            if payload[dynamics_field] == default:
-                del payload[dynamics_field]
+        for config_field in fields(self):
+            if config_field.metadata["omit_at_default"] and payload[config_field.name] == config_field.default:
+                del payload[config_field.name]
         return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FederatedConfig":
         """Rebuild a config from :meth:`to_dict` output (or a YAML mapping)."""
-        data = dict(payload)
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        unknown = set(payload) - set(_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown FederatedConfig fields: {sorted(unknown)}")
-        if "decay_clipping" in data and data["decay_clipping"] is not None:
-            data["decay_clipping"] = tuple(data["decay_clipping"])
-        for tuple_field in (
-            "attack_rounds",
-            "attack_clients",
-            "byzantine_clients",
-            "device_classes",
-        ):
-            value = data.get(tuple_field)
-            if value is not None and not isinstance(value, str):
-                data[tuple_field] = tuple(value)
-        return cls(**data)
+        return cls(**{name: tuple(value) if isinstance(value, list) else value for name, value in payload.items()})
+
+
+#: default value of every :class:`FederatedConfig` field
+_DEFAULTS = {config_field.name: config_field.default for config_field in fields(FederatedConfig)}
+
+#: config fields a resumed checkpoint may override (execution choices that do
+#: not affect the numerics, plus ``rounds``, which may only grow)
+RESUME_MUTABLE_FIELDS: Tuple[str, ...] = tuple(
+    config_field.name for config_field in fields(FederatedConfig) if config_field.metadata["resume_mutable"]
+)

@@ -3,6 +3,8 @@ target selection, RNG-domain keying and record serialisation."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,14 @@ def test_config_serialisation_omits_catalogue_defaults():
         "secure_mask_scale",
     ):
         assert name not in payload
+    # the 30 keys every pre-catalogue checkpoint carries, and no more
+    assert sorted(FederatedConfig().to_dict()) == """
+        aggregation batch_size client_sampling clipping_bound compression_ratio data_per_client dataset
+        decay_clipping delta dirichlet_alpha dropout_rate dssgd_share_fraction eval_every executor
+        learning_rate local_iterations method model_scale noise_scale num_clients num_train_examples
+        num_val_examples num_workers participation_fraction partition quantity_skew_exponent rounds
+        sdp_server_side seed straggler_deadline
+    """.split()
 
 
 def test_config_serialisation_round_trips_catalogue_fields():
@@ -161,6 +171,29 @@ def test_config_serialisation_round_trips_catalogue_fields():
     assert payload["byzantine_clients"] == [0, 2]
     assert payload["secure_aggregation"] is True
     assert FederatedConfig.from_dict(payload) == config
+
+    # every omit_at_default field away from its default survives the round trip
+    everything = config.with_overrides(
+        accountant="heterogeneous",
+        epsilon_budget=5.0,
+        client_state="lazy",
+        worker_chunk_size=2,
+        attack="leakage",
+        attack_rounds=(0, 2),
+        attack_clients=(1, 3),
+        attack_seeds=2,
+        attack_iterations=5,
+        availability_cycle=0.5,
+        availability_period=3,
+        churn_rate=0.25,
+        device_classes=(0.5, 1.0, 2.0),
+        drift_rate=0.2,
+    )
+    omitted = [field.name for field in dataclasses.fields(FederatedConfig) if field.metadata["omit_at_default"]]
+    assert len(omitted) == 19
+    payload = json.loads(json.dumps(everything.to_dict()))
+    assert set(omitted) <= set(payload)
+    assert FederatedConfig.from_dict(payload) == everything
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.cli import load_config_file, main
+from repro.cli import build_parser, load_config_file, main
 from repro.experiments.harness import quick_config
 from repro.federated import FederatedSimulation
 
@@ -422,22 +422,57 @@ def test_resume_rejects_conflicting_attack_flags(tmp_path):
 
 def test_resume_accepts_config_file_with_unnormalised_attack_lists(tmp_path):
     """Replaying the original --config command with --resume must work even
-    when the file lists attack rounds/clients unsorted or duplicated."""
-    config_path = tmp_path / "attacked.json"
-    config_path.write_text(
-        json.dumps(
-            {
-                "attack": "leakage",
-                "attack_rounds": [1, 0, 1],
-                "attack_clients": [2, 0, 2],
-                "attack_iterations": 5,
-            }
-        )
-    )
-    checkpoint = str(tmp_path / "ck.json")
-    args = _run_args(tmp_path, "--rounds", "2", "--config", str(config_path), "--checkpoint", checkpoint)
-    assert main(args) == 0
-    assert main(args + ["--resume"]) == 0
+    when the file lists attack rounds/clients or byzantine clients unsorted
+    or duplicated, or gives a tuple field as a list of ints."""
+    attacked = {"attack": "leakage", "attack_rounds": [1, 0, 1], "attack_clients": [2, 0, 2], "attack_iterations": 5}
+    byzantine = {"byzantine_clients": [3, 1, 1], "byzantine_mode": "sign_flip"}
+    decay = {"decay_clipping": [6, 2]}
+    for name, payload in (("attacked", attacked), ("byzantine", byzantine), ("decay", decay)):
+        config_path = tmp_path / f"{name}.json"
+        config_path.write_text(json.dumps(payload))
+        checkpoint = str(tmp_path / f"{name}.ck.json")
+        args = _run_args(tmp_path, "--rounds", "2", "--config", str(config_path), "--checkpoint", checkpoint)
+        assert main(args) == 0
+        assert main(args + ["--resume"]) == 0
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--participation", "0"),
+        ("--churn-rate", "1.0"),
+        ("--workers", "0"),
+        ("--attack-seeds", "3"),
+        ("--checkpoint-every", "0"),
+        ("--history-spool", "X", "--history-tail", "0"),
+    ],
+    ids=" ".join,
+)
+def test_invalid_run_values_are_usage_errors(tmp_path, capsys, extra):
+    """A bad value exits with argparse's status 2 and one error line, not a traceback."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(_run_args(tmp_path, *extra))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_run_option_strings_are_frozen():
+    """The generated ``run`` surface keeps every option string it had when the
+    flags were still declared by hand."""
+    run = build_parser()._subparsers._group_actions[0].choices["run"]
+    options = sorted(option for action in run._actions for option in action.option_strings if option.startswith("--"))
+    assert options == """
+        --accountant --attack --attack-clients --attack-iterations --attack-rounds --attack-seeds
+        --availability-cycle --availability-period --byzantine-clients --byzantine-mode --byzantine-scale
+        --checkpoint --checkpoint-every --churn-rate --client-sampling --client-state --clients
+        --clipping-bound --config --dataset --device-classes --dirichlet-alpha --drift --dropout
+        --epsilon-budget --eval-every --executor --help --history-spool --history-tail --method
+        --noise-scale --output --participation --partition --profile --quantity-skew-exponent --resume
+        --rounds --secure-aggregation --secure-mask-scale --seed --straggler-deadline --verbose
+        --worker-chunk-size --workers
+    """.split()
 
 
 def test_scenarios_subcommand_with_attack_columns(tmp_path, capsys):

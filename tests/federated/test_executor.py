@@ -447,6 +447,8 @@ def test_checkpoint_extend_rounds_respans_decay_schedule(tmp_path):
 
     with pytest.raises(ValueError):
         FederatedSimulation.from_checkpoint(checkpoint, rounds=1)  # shrinking is rejected
+    with pytest.raises(TypeError):
+        FederatedSimulation.from_checkpoint(checkpoint, seed=1)  # the checkpoint pins the seed
 
 
 def test_simulation_rejects_custom_trainer_with_multiprocessing():
